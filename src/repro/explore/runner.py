@@ -9,9 +9,10 @@ pool dies) in shards, persisting each shard to the
 sweep therefore loses at most one shard, and a re-run simulates only
 what the store has never seen.
 
-Each simulation is *exactly* the code path of
-:func:`repro.workloads.engine.run_workload` — fresh machine,
-executive boot, measured run — so the default-params point is
+Each simulation goes through :func:`repro.workloads.engine.simulate`,
+the same build-boot-run-capture helper behind
+:func:`~repro.workloads.engine.run_workload` (without its memo, whose
+key does not encode params overrides), so the default-params point is
 bit-identical to the standard composite (a contract the tests pin).
 
 ``engine="batch"`` routes the outstanding tasks through the lockstep
@@ -28,10 +29,10 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.analysis.measurement import Measurement
 from repro.explore.space import SpaceError, SweepSpec
 from repro.explore.store import ResultStore, code_version, result_key
 from repro.obs import metrics
+from repro.workloads.engine import simulate
 from repro.workloads.parallel import run_tasks
 from repro.workloads.registry import WorkloadError, get_workload
 
@@ -102,18 +103,9 @@ def _simulate_task(task) -> dict:
     global SIMULATIONS
     workload, instructions, seed, overrides, machine_name = task
     overrides = dict(overrides)
-
-    from repro.machines.registry import get_machine
-    from repro.osim.executive import Executive
-
-    spec = get_machine(machine_name)
-    profile = get_workload(workload).profile
-    machine = spec.build(spec.params.with_overrides(**overrides))
-    executive = Executive(machine, spec.adapt_profile(profile),
-                          seed=seed)
-    executive.boot()
-    executive.run(instructions)
-    measurement = Measurement.capture(workload, machine)
+    measurement = simulate(get_workload(workload).profile, instructions,
+                           seed, machine=machine_name,
+                           overrides=overrides, name=workload)
     SIMULATIONS += 1
     metrics.counter("explore.simulations").inc()
     return _record(measurement, workload, instructions, seed, overrides,

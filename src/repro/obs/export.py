@@ -165,6 +165,8 @@ _PULSE_COUNTERS = (
     ("workloads.cycles", "cycles"),
     ("explore.simulations", "sims"),
     ("explore.store.hits", "store-hits"),
+    ("osim.codegen_misses", "codegen"),
+    ("osim.codegen_hits", "codegen-hits"),
     ("ubench.kernels", "kernels"),
     ("validate.fuzz_cases", "fuzz"),
     ("validate.divergences", "DIVERGED"),

@@ -1,9 +1,13 @@
 """The executive: builds a bootable system around a workload profile.
 
 An :class:`Executive` lays out physical memory (SCB, kernel code and data,
-kernel stacks, PCBs, page tables, user frames), generates the kernel and
-one user program per process, installs devices and scheduler hooks, boots
-through the kernel's own VAX boot sequence, and runs a measurement window.
+kernel stacks, PCBs, page tables, user frames), generates the kernel,
+copies in one user program per process, installs devices and scheduler
+hooks, boots through the kernel's own VAX boot sequence, and runs a
+measurement window.  The user programs come from
+:func:`~repro.workloads.codegen.generated_programs`, which generates
+them once per (profile, seed); the machine, memory, page tables,
+kernel, scheduler and devices are built fresh for every executive.
 
 Physical layout (all below the S0 page table at the top of memory)::
 
@@ -25,6 +29,7 @@ from repro.cpu.machine import (SCB_CHMK, SCB_CLOCK, SCB_PAGE_FAULT,
                                SCB_SOFTWARE_BASE, SCB_TERMINAL, VAX780)
 from repro.cpu.executors.system import (PCB_AP, PCB_FP, PCB_KSP, PCB_PC,
                                         PCB_PSL, PCB_USP)
+from repro.obs import metrics
 from repro.osim import kernelgen
 from repro.osim.devices import IntervalClock, TerminalMux
 from repro.osim.kernelgen import (KDATA_VA, PR_BLOCK, PR_NEXTPCB,
@@ -35,7 +40,7 @@ from repro.osim.process import Process
 from repro.osim.scheduler import Scheduler
 from repro.vm.address import (P1_BASE, PAGE_BYTES, PAGE_SHIFT, S0_BASE)
 from repro.vm.pagetable import AddressSpace, RegionTable
-from repro.workloads.codegen import ProgramGenerator
+from repro.workloads.codegen import generated_programs
 from repro.workloads.profiles import MixProfile
 
 _WORD = 0xFFFFFFFF
@@ -112,8 +117,15 @@ class Executive:
         m.register_address_space(pcb, space)
 
     def _build_processes(self) -> None:
-        for index in range(self.profile.processes):
-            self._build_process(index + 1)
+        # The programs are memoised per (profile, seed) and shared;
+        # everything they are copied into is this executive's own.
+        misses = generated_programs.cache_info().misses
+        programs = generated_programs(self.profile, self.seed)
+        hit = generated_programs.cache_info().misses == misses
+        metrics.counter("osim.codegen_hits" if hit
+                        else "osim.codegen_misses").inc()
+        for asid, program in enumerate(programs, start=1):
+            self._build_process(asid, program)
 
     def _alloc_frame(self) -> int:
         frame = self._frame_cursor
@@ -123,12 +135,8 @@ class Executive:
             raise MemoryError("out of user page frames")
         return frame
 
-    def _build_process(self, asid: int) -> None:
+    def _build_process(self, asid: int, program) -> None:
         m = self.machine
-        generator = ProgramGenerator(self.profile,
-                                     seed=self.seed * 1000 + asid)
-        program = generator.generate()
-
         p0_pages = (program.string_base
                     + self.profile.string_kb * 1024) >> PAGE_SHIFT
         p0_table = RegionTable(PTBL_PA + (asid - 1 + 1) * PTBL_SLOT,

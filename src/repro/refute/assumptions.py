@@ -160,23 +160,19 @@ def simulate_point(point: ProbePoint, plant: str = None):
     Deliberately bypasses the workload engine's process-wide memo (and
     any store): probe points carry params overrides the memo key does
     not encode, and a *planted* run must never poison a cache another
-    caller could hit.
+    caller could hit.  The generated-program memo is shared safely:
+    every plant patches timing or capture, none reaches code
+    generation.
     """
-    from repro.analysis.measurement import Measurement
-    from repro.machines.registry import get_machine
-    from repro.osim.executive import Executive
     from repro.refute.perturb import perturbation
+    from repro.workloads.engine import simulate
     from repro.workloads.registry import get_workload
 
-    spec = get_machine(point.machine)
     profile = get_workload(point.workload).profile
     with perturbation(plant):
-        machine = spec.build(effective_params(point))
-        executive = Executive(machine, spec.adapt_profile(profile),
-                              seed=point.seed)
-        executive.boot()
-        executive.run(point.instructions)
-        return Measurement.capture(point.workload, machine)
+        return simulate(profile, point.instructions, point.seed,
+                        machine=point.machine, overrides=point.overrides,
+                        name=point.workload)
 
 
 def probe_conservation(point: ProbePoint, measurement) -> dict:

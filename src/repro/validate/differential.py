@@ -389,16 +389,12 @@ def batch_targets(instructions: int) -> list:
 
 def _scalar_lane(case: FuzzCase, target: int):
     """One scalar-engine run to ``target``: (measurement, error)."""
-    from repro.analysis.measurement import Measurement
+    from repro.workloads.engine import simulate
 
-    machine = machine_mod.VAX780()
-    executive = Executive(machine, case.profile, seed=case.seed)
-    executive.boot()
     try:
-        executive.run(target)
+        return simulate(case.profile, target, case.seed), None
     except RuntimeError as exc:
         return None, str(exc)
-    return Measurement.capture(case.profile.name, machine), None
 
 
 _MEMORY_FIELDS = ("cache_read_hits", "cache_read_misses",

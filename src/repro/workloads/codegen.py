@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.arch import encode as enc
 from repro.arch.specifiers import AddressingMode
@@ -55,10 +56,23 @@ SUBROUTINE_SLOT = 0x700
 #: entry mask saving r6-r9 (the registers every generated body uses).
 ENTRY_MASK = 0x03C0
 
+#: Distinct (profile, seed) program sets :func:`generated_programs`
+#: keeps.  The repository's widest sweep keeps every supported pair of
+#: the 13 registered workloads x 2 machines in use at once (25 sets,
+#: revisited points-outer / workloads-inner by explore); a smaller
+#: bound would thrash.  One set is <= 1.05 MiB for the paper's five and
+#: 2.2 MiB at worst (tb-thrash).  Bounded, because a long-lived
+#: ``repro serve`` may see a new seed with every request.
+CODEGEN_CACHE_SETS = 32
 
-@dataclass
+
+@dataclass(frozen=True)
 class GeneratedProgram:
-    """A complete generated user program plus its initial data images."""
+    """A complete generated user program plus its initial data images.
+
+    Frozen: :func:`generated_programs` shares one instance between
+    every executive built from the same (profile, seed).
+    """
 
     code: bytes           #: machine code, loaded at ``code_base``
     entry: int            #: VA of the first instruction of ``main``
@@ -67,7 +81,22 @@ class GeneratedProgram:
     data_init: bytes      #: initial contents of the data region
     string_base: int
     string_init: bytes    #: initial contents of the string region
-    subroutine_entries: list
+    subroutine_entries: tuple
+
+
+@lru_cache(maxsize=CODEGEN_CACHE_SETS)
+def generated_programs(profile: MixProfile, seed: int) -> tuple:
+    """One generated program per process of ``profile``, memoised.
+
+    Process ``asid`` (1-based) is generated with seed
+    ``seed * 1000 + asid``.  Generation is a pure function of the
+    profile (as adapted to the machine) and the seed — machine params
+    never reach it — so every executive built from the same pair, at
+    any budget or params point, shares one tuple of frozen programs.
+    """
+    return tuple(ProgramGenerator(profile, seed=seed * 1000 + asid)
+                 .generate()
+                 for asid in range(1, profile.processes + 1))
 
 
 class ProgramGenerator:
@@ -111,7 +140,7 @@ class ProgramGenerator:
             data_base=self.data_base, data_init=self._build_data_init(),
             string_base=self.string_base,
             string_init=self._build_string_init(),
-            subroutine_entries=entries)
+            subroutine_entries=tuple(entries))
 
     # ------------------------------------------------------------------
     # data region initial contents

@@ -168,17 +168,37 @@ def run_workload(workload, instructions: int = None,
         return cached
     obs.emit("workload_started", workload=profile.name,
              instructions=instructions, seed=seed)
+    measurement = simulate(profile, instructions, seed, machine=machine,
+                           paranoid=paranoid)
+    return _finish(key, measurement, profile.name, instructions)
+
+
+def simulate(profile: MixProfile, instructions: int, seed: int = 1984,
+             machine: str = DEFAULT_MACHINE, overrides=(),
+             name: str = None, paranoid: bool = False) -> Measurement:
+    """One fresh simulation: build, boot, run, capture.  No memo.
+
+    ``profile`` is the canonical profile; ``machine``'s subset
+    adaptation is applied here.  ``overrides`` are (field, value)
+    pairs replacing the machine's own MachineParams (explore points,
+    refute probes), which is why nothing here reads or writes the
+    run memo: its key does not encode them.  ``name`` labels the
+    measurement (default: the profile's name).
+    """
     machine_spec = get_machine(machine)
-    sim = machine_spec.build()
+    sim = machine_spec.build(
+        machine_spec.params.with_overrides(**dict(overrides))
+        if overrides else None)
     executive = Executive(sim, machine_spec.adapt_profile(profile),
                           seed=seed)
     executive.boot()
+    label = profile.name if name is None else name
     observation = obs.active()
     sampler = None
     if observation is not None:
         # Chain after whatever the executive installed; the paranoid
         # monitor (installed below) chains after the sampler in turn.
-        sampler = obs.ProgressSampler(sim, observation, profile.name)
+        sampler = obs.ProgressSampler(sim, observation, label)
         sampler.install()
     try:
         with metrics.timer("workloads.run_seconds").time():
@@ -192,8 +212,7 @@ def run_workload(workload, instructions: int = None,
     finally:
         if sampler is not None:
             sampler.uninstall()
-    measurement = Measurement.capture(profile.name, sim)
-    return _finish(key, measurement, profile.name, instructions)
+    return Measurement.capture(label, sim)
 
 
 def run_many(workloads=None, instructions: int = DEFAULT_INSTRUCTIONS,

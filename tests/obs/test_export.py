@@ -110,6 +110,15 @@ class TestHeartbeatLine:
         assert "cycles=12,345" in line
         assert "instr~1,000" in line
 
+    def test_codegen_memo_counters_render(self):
+        snapshot = {
+            "osim.codegen_misses": {"kind": "counter", "value": 10},
+            "osim.codegen_hits": {"kind": "counter", "value": 30},
+        }
+        line = heartbeat_line(snapshot, 1.0)
+        assert "codegen=10" in line
+        assert "codegen-hits=30" in line
+
     def test_zero_counters_are_quiet(self):
         snapshot = {"validate.divergences": {"kind": "counter",
                                              "value": 0}}

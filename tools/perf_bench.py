@@ -36,13 +36,27 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.environ.get("REPRO_SRC", os.path.join(REPO, "src")))
 
 
+def _cold() -> None:
+    """Drop the run memo and, where the tree has one, the program memo.
+
+    Every repeat then pays for code generation again, so trees with
+    and without the program memo are timed the same way.
+    """
+    from repro.workloads import codegen, engine
+
+    engine.clear_cache()
+    programs = getattr(codegen, "generated_programs", None)
+    if programs is not None:
+        programs.cache_clear()
+
+
 def measure(instructions: int, seed: int, jobs: int, repeats: int) -> dict:
     from repro.workloads import engine
 
     runs = []
     cycles = None
     for _ in range(repeats):
-        engine.clear_cache()
+        _cold()
         kwargs = {"jobs": jobs} if jobs != 1 else {}
         t0 = time.perf_counter()
         meas = engine.standard_composite(instructions=instructions,
@@ -182,13 +196,13 @@ def measure_obs(instructions: int, seed: int, repeats: int) -> dict:
 
     plain_runs, observed_runs = [], []
     for _ in range(repeats):
-        engine.clear_cache()
+        _cold()
         t0 = time.perf_counter()
         plain = engine.standard_composite(instructions=instructions,
                                           seed=seed)
         plain_runs.append(round(time.perf_counter() - t0, 3))
 
-        engine.clear_cache()
+        _cold()
         out = tempfile.mkdtemp(prefix="obs-bench-")
         try:
             t0 = time.perf_counter()
@@ -202,7 +216,7 @@ def measure_obs(instructions: int, seed: int, repeats: int) -> dict:
             raise SystemExit(
                 f"observation perturbed the count: plain "
                 f"{plain.cycles} vs observed {observed.cycles}")
-    engine.clear_cache()
+    _cold()
     best_plain = min(plain_runs)
     best_observed = min(observed_runs)
     return {
@@ -308,7 +322,6 @@ def measure_serve(repeats: int,
     from repro import api
     from repro.serve import ServeConfig
     from repro.serve.testing import ServerThread
-    from repro.workloads import engine
 
     params = {"instructions": instructions, "seed": 424_242,
               "table": "4"}
@@ -318,7 +331,7 @@ def measure_serve(repeats: int,
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(requests):
-            engine.clear_cache()
+            _cold()
             doc = api.characterize(**params).to_json()
         scalar_runs.append(round(time.perf_counter() - t0, 3))
         if reference is None:
@@ -327,7 +340,7 @@ def measure_serve(repeats: int,
             raise SystemExit("non-deterministic scalar characterize — "
                              "serve timings are not comparable")
 
-        engine.clear_cache()
+        _cold()
         root = tempfile.mkdtemp(prefix="serve-bench-")
         try:
             config = ServeConfig(store=os.path.join(root, "store"),
@@ -354,7 +367,7 @@ def measure_serve(repeats: int,
                     warm_requests.append(time.perf_counter_ns() - t0)
         finally:
             shutil.rmtree(root, ignore_errors=True)
-    engine.clear_cache()
+    _cold()
     best_scalar = min(scalar_runs)
     best_serve = min(serve_runs)
     return {
@@ -397,12 +410,12 @@ def measure_analytical(repeats: int, target: int = 6_000) -> dict:
         calib_runs, sim_runs, estimate_ns = [], [], []
         rel_err = None
         for _ in range(repeats):
-            engine.clear_cache()
+            _cold()
             t0 = time.perf_counter()
             mix = calibrate(profile, machine, anchors=anchors)
             calib_runs.append(round(time.perf_counter() - t0, 3))
 
-            engine.clear_cache()
+            _cold()
             t0 = time.perf_counter()
             engine.run_workload(profile, target, machine=machine)
             sim_runs.append(round(time.perf_counter() - t0, 3))
@@ -428,7 +441,7 @@ def measure_analytical(repeats: int, target: int = 6_000) -> dict:
             "rel_err": rel_err,
             "speedup": round(best_sim / best_estimate, 1),
         }
-    engine.clear_cache()
+    _cold()
     return {
         "workload": workload,
         "instructions": target,
