@@ -265,8 +265,8 @@ def characterize(instructions: int = None, seed: int = 1984,
     ``table`` selects what to compute: ``"all"``, one key (``"1"``
     ... ``"9"``, ``"s4"``), or an iterable of keys.  Unknown keys raise
     :class:`ApiError` before the (expensive) composite run, as do an
-    unknown ``engine`` (scalar, batch, or auto; results are
-    bit-identical, see :mod:`repro.batch`), an unknown ``machine``
+    unknown ``engine`` (scalar, batch, or auto — aliases, echoed in
+    the result, see :mod:`repro.batch`), an unknown ``machine``
     (a registered backend, see :mod:`repro.machines`), and an unknown
     or machine-refused workload.
     """
@@ -795,10 +795,10 @@ def explore(spec: str = "paper-sensitivity", axes=(), mode: str = None,
 
     ``store`` is a directory path, a ResultStore, or None (no
     persistence).  ``progress`` is an optional ``callable(str)``.
-    ``engine`` selects the execution engine (scalar, batch, or auto —
-    batch fuses budget-only point variants onto shared machines; the
-    records are bit-identical); ``machine`` re-baselines the sweep on a
-    registered backend.  An unknown engine or machine name raises
+    ``engine`` is scalar, batch, or auto — aliases echoed in the
+    result: every sweep fuses budget-only point variants onto shared
+    runs, with bit-identical records.  ``machine`` re-baselines the
+    sweep on a registered backend.  An unknown engine or machine name raises
     :class:`ApiError` before anything simulates.
     """
     from repro.explore import ResultStore, run_sweep, sensitivity
@@ -858,9 +858,8 @@ def validate(instructions: int = None, fuzz_cases: int = 0,
 
     ``engine`` selects what the fuzzer differences against: ``scalar``
     (the default) runs the fast-path engine against the per-cycle
-    reference spec; ``batch`` runs the lockstep batch engine against
-    independent scalar runs, capturing each case at several prefix
-    boundaries.  ``auto`` is rejected here — a validation run must name
+    reference spec; ``batch`` differences one run captured at several
+    prefix boundaries against an independent run per boundary.  ``auto`` is rejected here — a validation run must name
     the engine it is validating.  ``machine`` selects the backend the
     workloads run on; the conservation laws are chosen to match its
     capabilities (no IB / overlapped-decode laws on a machine without

@@ -1,29 +1,28 @@
-"""repro.batch: the lockstep batch execution engine.
+"""repro.batch: plan many measurements onto few runs.
 
-A second way to run measurements: many lanes (workload × params ×
-budget × seed) advance together — budget-only variants fused onto
-shared machines, cross-lane state in struct-of-arrays numpy buffers,
-every histogram accumulated in one matrix sink — with results
-bit-identical to the scalar engine lane for lane.  See
+Requested measurements — lanes of (workload × params × machine ×
+budget × seed) — that differ only in budget fuse into one cohort,
+which runs once and is captured at every lane's boundary
+(:meth:`repro.osim.executive.Executive.run` with a tuple of budgets).
+Results are bit-identical to independent runs lane for lane.  See
 :mod:`repro.batch.lanes` for the fusion rule and
-:mod:`repro.batch.engine` for the identity argument.
+:mod:`repro.batch.engine` for the runner.
 
-Engine selection (``--engine`` on the CLI, ``engine=`` on the facade)
-is validated here so every entry point rejects a bad name the same
-way, before any simulation runs.
+The ``engine`` name (``--engine`` on the CLI, ``engine=`` on the
+facade) is validated here so every entry point rejects a bad name the
+same way, before any simulation runs.  It no longer selects a code
+path: scalar, batch and auto are aliases with bit-identical results,
+kept because result documents and serve request keys carry the field.
 """
 
 from __future__ import annotations
 
-from repro.batch.engine import (BatchRunner, LaneResult, QUANTUM,
-                                run_lanes)
-from repro.batch.histograms import BatchHistogramSink
-from repro.batch.lanes import Cohort, LaneArrays, LaneSpec, plan_cohorts
+from repro.batch.engine import BatchRunner, LaneResult, run_lanes
+from repro.batch.lanes import Cohort, LaneSpec, plan_cohorts
 
 __all__ = ["ENGINES", "EngineError", "validate_engine",
-           "BatchRunner", "BatchHistogramSink", "Cohort", "LaneArrays",
-           "LaneResult", "LaneSpec", "QUANTUM", "plan_cohorts",
-           "run_lanes"]
+           "BatchRunner", "Cohort", "LaneResult", "LaneSpec",
+           "plan_cohorts", "run_lanes"]
 
 #: Legal values everywhere an engine can be chosen.
 ENGINES = ("scalar", "batch", "auto")

@@ -83,9 +83,10 @@ SHARED_FLAGS = (
              "(default: .explore/store)")),
     (("--engine",), dict(
         default=None, metavar="ENGINE",
-        help="execution engine: scalar (default), batch (lockstep "
-             "many-lane engine, bit-identical results), or auto; "
-             "validated before anything simulates")),
+        help="engine name: scalar (default), batch or auto; aliases "
+             "with bit-identical results (budget-only runs always "
+             "fuse), validated before anything simulates; on "
+             "validate, batch fuzzes multi-capture runs")),
     (("--machine",), dict(
         default=None, metavar="NAME",
         help="machine backend: vax780 (default, the paper's machine) "

@@ -9,19 +9,17 @@ pool dies) in shards, persisting each shard to the
 sweep therefore loses at most one shard, and a re-run simulates only
 what the store has never seen.
 
-Each simulation goes through :func:`repro.workloads.engine.simulate`,
-the same build-boot-run-capture helper behind
-:func:`~repro.workloads.engine.run_workload` (without its memo, whose
-key does not encode params overrides), so the default-params point is
-bit-identical to the standard composite (a contract the tests pin).
-
-``engine="batch"`` routes the outstanding tasks through the lockstep
-batch engine (:mod:`repro.batch`) instead of the process pool: tasks
-that differ only in budget fuse onto shared machines, so an
-``instructions``-axis sweep costs one run of the longest point.
-Records are bit-identical either way (the store key does not encode
-the engine), and ``engine="auto"`` picks batch exactly when some tasks
-actually fuse.
+The outstanding tasks are planned into cohorts
+(:func:`repro.batch.plan_cohorts`): tasks that differ only in budget
+share one machine run, captured at each budget as it goes by, so an
+``instructions``-axis sweep costs one run of the longest point.  One
+cohort is one pool task and one shard unit.  Each run goes through
+:func:`repro.workloads.engine.simulate`, the same build-boot-run-capture
+helper behind :func:`~repro.workloads.engine.run_workload` (without its
+memo, whose key does not encode params overrides), so the
+default-params point is bit-identical to the standard composite (a
+contract the tests pin).  The ``engine`` argument is validated and
+echoed, and selects nothing: every engine fuses.
 """
 
 from __future__ import annotations
@@ -36,8 +34,9 @@ from repro.workloads.engine import simulate
 from repro.workloads.parallel import run_tasks
 from repro.workloads.registry import WorkloadError, get_workload
 
-#: Simulations performed by this process since import (tests use this
-#: to assert that a warm store performs zero new simulations).
+#: Records simulated by this process since import (tests use this to
+#: assert that a warm store performs zero new simulations).  A fused
+#: cohort counts one per record; ``explore.runs`` counts machine runs.
 SIMULATIONS = 0
 
 
@@ -98,18 +97,30 @@ def _record(measurement, workload: str, instructions: int,
     }
 
 
-def _simulate_task(task) -> dict:
-    """Worker entry point (top-level, so it pickles): one simulation."""
+def _simulate_cohort(task) -> list:
+    """Worker entry point (top-level, so it pickles): one cohort.
+
+    One machine runs to the largest budget and is captured at each;
+    returns one store record per budget.  A failed budget raises its
+    independent run's RuntimeError, after the run, exactly as a serial
+    loop over the budgets would have at that point.
+    """
     global SIMULATIONS
-    workload, instructions, seed, overrides, machine_name = task
+    workload, budgets, seed, overrides, machine_name = task
     overrides = dict(overrides)
-    measurement = simulate(get_workload(workload).profile, instructions,
-                           seed, machine=machine_name,
-                           overrides=overrides, name=workload)
-    SIMULATIONS += 1
-    metrics.counter("explore.simulations").inc()
-    return _record(measurement, workload, instructions, seed, overrides,
-                   machine=machine_name)
+    outcomes = simulate(get_workload(workload).profile, budgets, seed,
+                        machine=machine_name, overrides=overrides,
+                        name=workload)
+    metrics.counter("explore.runs").inc()
+    records = []
+    for budget, measurement in zip(budgets, outcomes):
+        if isinstance(measurement, RuntimeError):
+            raise measurement
+        SIMULATIONS += 1
+        metrics.counter("explore.simulations").inc()
+        records.append(_record(measurement, workload, budget, seed,
+                               overrides, machine=machine_name))
+    return records
 
 
 class SweepResult:
@@ -166,77 +177,6 @@ def compose(records) -> dict:
     return out
 
 
-def _run_batch(spec, todo, points, records, store, progress) -> None:
-    """Simulate the outstanding tasks through the lockstep batch engine.
-
-    Each task becomes one lane; lanes differing only in budget fuse
-    onto shared machines (see :mod:`repro.batch.lanes`).  Results are
-    persisted as each lane's boundary is captured, so an interrupted
-    sweep keeps every lane that completed.  A failed lane raises the
-    scalar engine's RuntimeError verbatim, exactly as the serial path
-    would have propagated it.
-    """
-    from repro.batch import BatchRunner, LaneSpec, plan_cohorts
-
-    lanes = []
-    for index, workload, _key in todo:
-        point = points[index]
-        lanes.append(LaneSpec(workload, point.instructions, point.seed,
-                              point.overrides))
-    landed = {"lanes": 0}
-    started = time.monotonic()
-
-    def on_result(lane, result):
-        global SIMULATIONS
-        if result.error is not None:
-            raise RuntimeError(result.error)
-        index, workload, key = todo[lane]
-        point = points[index]
-        record = _record(result.measurement, workload,
-                         point.instructions, point.seed,
-                         dict(point.overrides), machine=point.machine)
-        records[key] = record
-        if store is not None:
-            store.put(key, record)
-        SIMULATIONS += 1
-        metrics.counter("explore.simulations").inc()
-        obs.emit("sweep_point_completed", spec=spec.name,
-                 label=point.label(), workload=workload,
-                 cycles=record["cycles"])
-        landed["lanes"] += 1
-        if progress is not None:
-            elapsed = time.monotonic() - started
-            progress(f"batch: {landed['lanes']}/{len(todo)} lanes "
-                     f"captured elapsed {elapsed:.1f}s")
-
-    runner = BatchRunner(lanes, on_result=on_result)
-    if progress is not None:
-        fused = len(lanes) - len(runner.cohorts)
-        progress(f"batch: {len(lanes)} lanes in "
-                 f"{len(runner.cohorts)} cohorts ({fused} fused)")
-    runner.run()
-
-
-def _batch_fuses(todo, points) -> bool:
-    """Whether any outstanding tasks would share a machine."""
-    keys = [(workload, points[index].seed, points[index].overrides)
-            for index, workload, _key in todo]
-    return len(set(keys)) < len(keys)
-
-
-def _all_default_machine(todo, points) -> bool:
-    """Whether every outstanding task runs on the default backend.
-
-    The lockstep batch engine shares one 780 timing model across
-    lanes, so any non-default point forces the scalar path (mirroring
-    ``run_standard_experiments``).
-    """
-    from repro.machines.registry import DEFAULT_MACHINE
-
-    return all(points[index].machine == DEFAULT_MACHINE
-               for index, _workload, _key in todo)
-
-
 def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
               resume: bool = True, retries: int = 1,
               progress=None, engine: str = "scalar") -> SweepResult:
@@ -244,12 +184,11 @@ def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
 
     ``resume=False`` re-simulates every point (the store is still
     updated).  ``progress`` is an optional ``callable(str)`` fed
-    shard-by-shard status lines with an ETA.  ``engine`` selects the
-    execution engine: ``scalar`` (the pool-sharded per-task path),
-    ``batch`` (the in-process lockstep engine), or ``auto`` (batch
-    when tasks fuse, scalar otherwise); results are bit-identical.
+    shard-by-shard status lines with an ETA.  ``engine`` is validated
+    and echoed in the stats; every engine plans budget-only tasks onto
+    shared runs, with records bit-identical to independent runs.
     """
-    from repro.batch import validate_engine
+    from repro.batch import LaneSpec, plan_cohorts, validate_engine
 
     global SIMULATIONS
     engine = validate_engine(engine)
@@ -275,69 +214,68 @@ def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
 
     records = {}        # key -> record
     todo = []
+    seen = set()
     for index, workload, key in tasks:
-        if key in records:
+        if key in seen:
             continue
+        seen.add(key)
         record = store.get(key) if (store is not None and resume) else None
         if record is not None:
             records[key] = record
-        elif not any(key == k for _, _, k in todo):
+        else:
             todo.append((index, workload, key))
-    cached = len(set(k for _, _, k in tasks)) - len(todo)
+    cached = len(seen) - len(todo)
     metrics.counter("explore.resumed_points").inc(cached)
-    if not _all_default_machine(todo, points):
-        engine = "scalar"
-    elif engine == "auto":
-        engine = "batch" if _batch_fuses(todo, points) else "scalar"
+    cohorts = plan_cohorts(
+        LaneSpec(workload, points[index].instructions, points[index].seed,
+                 points[index].overrides, points[index].machine)
+        for index, workload, _key in todo)
     started = time.monotonic()
     obs.emit("sweep_started", spec=spec.name, points=len(points),
              workloads=len(spec.workloads), simulations=len(todo),
-             cached=cached, engine=engine)
+             runs=len(cohorts), cached=cached, engine=engine)
 
-    if engine == "batch" and todo:
-        _run_batch(spec, todo, points, records, store, progress)
-    elif todo:
-        # Shard the outstanding work so each shard's results are
-        # persisted before the next starts: an interrupted sweep loses
-        # at most one shard, and progress/ETA lines have something real
-        # to report.
-        from repro.workloads.parallel import default_jobs
-        effective_jobs = jobs if jobs is not None else default_jobs()
-        shard_size = max(1, 2 * effective_jobs)
-        shards = [todo[i:i + shard_size]
-                  for i in range(0, len(todo), shard_size)]
-        simulated = 0
-        for number, shard in enumerate(shards, start=1):
-            payloads = []
-            for index, workload, key in shard:
-                point = points[index]
-                payloads.append((workload, point.instructions,
-                                 point.seed, point.overrides,
-                                 point.machine))
-            results = run_tasks(_simulate_task, payloads, jobs=jobs,
-                                retries=retries)
-            for (index, workload, key), record in zip(shard, results):
-                records[key] = record
-                if store is not None:
-                    store.put(key, record)
-                obs.emit("sweep_point_completed", spec=spec.name,
-                         label=points[index].label(), workload=workload,
-                         cycles=record["cycles"])
-            simulated += len(shard)
-            if effective_jobs > 1 and len(payloads) > 1:
-                # The pool's workers simulated on our behalf (the
-                # in-process path already counted itself inside
-                # ``_simulate_task``).
-                SIMULATIONS += len(shard)
-            if progress is not None:
-                elapsed = time.monotonic() - started
-                remaining = len(todo) - simulated
-                eta = elapsed / simulated * remaining if simulated \
-                    else 0.0
-                progress(f"shard {number}/{len(shards)}: "
-                         f"{simulated}/{len(todo)} simulations "
-                         f"({cached} cached) elapsed {elapsed:.1f}s "
-                         f"eta {eta:.1f}s")
+    # Shard the outstanding cohorts so each shard's results are
+    # persisted before the next starts: an interrupted sweep loses at
+    # most one shard, and progress/ETA lines have something real to
+    # report.
+    from repro.workloads.parallel import default_jobs
+    effective_jobs = jobs if jobs is not None else default_jobs()
+    shard_size = max(1, 2 * effective_jobs)
+    shards = [cohorts[i:i + shard_size]
+              for i in range(0, len(cohorts), shard_size)]
+    simulated = 0
+    for number, shard in enumerate(shards, start=1):
+        payloads = [(cohort.workload, cohort.targets, cohort.seed,
+                     cohort.overrides, cohort.machine)
+                    for cohort in shard]
+        results = run_tasks(_simulate_cohort, payloads, jobs=jobs,
+                            retries=retries)
+        for cohort, cohort_records in zip(shard, results):
+            for target, record in zip(cohort.targets, cohort_records):
+                for lane in cohort.lanes_at(target):
+                    index, workload, key = todo[lane]
+                    records[key] = record
+                    if store is not None:
+                        store.put(key, record)
+                    obs.emit("sweep_point_completed", spec=spec.name,
+                             label=points[index].label(),
+                             workload=workload, cycles=record["cycles"])
+                    simulated += 1
+        if effective_jobs > 1 and len(payloads) > 1:
+            # The pool's workers simulated on our behalf (the
+            # in-process path already counted itself inside
+            # ``_simulate_cohort``).
+            fresh = sum(len(cohort.targets) for cohort in shard)
+            SIMULATIONS += fresh
+        if progress is not None:
+            elapsed = time.monotonic() - started
+            remaining = len(todo) - simulated
+            eta = elapsed / simulated * remaining if simulated else 0.0
+            progress(f"shard {number}/{len(shards)}: "
+                     f"{simulated}/{len(todo)} simulations "
+                     f"({len(cohorts)} runs, {cached} cached) elapsed "
+                     f"{elapsed:.1f}s eta {eta:.1f}s")
 
     out_points = []
     for index, point in enumerate(points):
@@ -356,7 +294,7 @@ def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
         })
     stats = {"points": len(points), "workloads": len(spec.workloads),
              "tasks": len(tasks), "simulated": len(todo),
-             "cached": cached, "engine": engine,
+             "runs": len(cohorts), "cached": cached, "engine": engine,
              "seconds": round(time.monotonic() - started, 3)}
     obs.emit("sweep_finished", spec=spec.name, **stats)
     return SweepResult(spec, out_points, stats)

@@ -37,8 +37,9 @@ SCHEMA = 2
 
 #: Package prefixes and modules excluded from the code-version digest:
 #: they observe or present results without shaping them.  Everything
-#: else — notably the cycle model and the lockstep batch engine
-#: (``batch/``), whose bugs would change stored records — is hashed.
+#: else — notably the cycle model, the executive's multi-budget capture
+#: and the lane planner (``batch/``), whose bugs would change stored
+#: records — is hashed.
 #: ``refute/`` only *reads* simulations (its planted perturbations are
 #: installed per-run behind a context manager and never write through
 #: a store), so it is excluded like the other observers.
@@ -51,7 +52,7 @@ def hashed_paths() -> tuple:
     """Relative source paths the code version digests, sorted.
 
     Exposed so tests can pin coverage: a result-shaping module (the
-    batch engine, say) silently dropping out of the digest would serve
+    lane planner, say) silently dropping out of the digest would serve
     stale records after the very bug class the digest guards against.
     """
     import repro
@@ -75,9 +76,9 @@ def code_version() -> str:
     those observe or present results without shaping them, so iterating
     on them keeps a warm store warm.  (The serve layer's own
     canonicalization changes are guarded separately by its
-    ``SERVE_SCHEMA`` key component.)  The batch execution engine IS
-    hashed: its fused runs produce the stored records, so a
-    batch-engine change must invalidate them.
+    ``SERVE_SCHEMA`` key component.)  The lane planner (``batch/``) IS
+    hashed: its fused runs produce the stored records, so a change to
+    it must invalidate them.
     """
     import repro
 

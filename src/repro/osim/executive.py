@@ -4,10 +4,11 @@ An :class:`Executive` lays out physical memory (SCB, kernel code and data,
 kernel stacks, PCBs, page tables, user frames), generates the kernel,
 copies in one user program per process, installs devices and scheduler
 hooks, boots through the kernel's own VAX boot sequence, and runs a
-measurement window.  The user programs come from
-:func:`~repro.workloads.codegen.generated_programs`, which generates
-them once per (profile, seed); the machine, memory, page tables,
-kernel, scheduler and devices are built fresh for every executive.
+measurement window, read at one or more instruction budgets.  The user
+programs come from :func:`~repro.workloads.codegen.generated_programs`,
+which generates them once per (profile, seed); the machine, memory,
+page tables, kernel, scheduler and devices are built fresh for every
+executive.
 
 Physical layout (all below the S0 page table at the top of memory)::
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.analysis.measurement import Measurement
 from repro.arch.registers import KERNEL, SP, USER
 from repro.cpu.machine import (SCB_CHMK, SCB_CLOCK, SCB_PAGE_FAULT,
                                SCB_SOFTWARE_BASE, SCB_TERMINAL, VAX780)
@@ -44,6 +46,9 @@ from repro.workloads.codegen import generated_programs
 from repro.workloads.profiles import MixProfile
 
 _WORD = 0xFFFFFFFF
+
+#: A halted machine's failure message, for every budget it leaves.
+HALTED = "machine halted during workload run"
 
 # physical layout constants
 KDATA_PA = 0x8000
@@ -232,20 +237,73 @@ class Executive:
         e.pc = self.kernel.boot_entry
         e.ib.flush(e.pc)
 
-    def run(self, measured_instructions: int,
-            cycle_limit: int = None) -> None:
-        """Run until the tracer has seen ``measured_instructions``."""
+    def run(self, budgets, cycle_limit: int = None, name: str = None):
+        """Run the measurement window to one budget, or capture at many.
+
+        ``budgets`` is one measured-instruction budget, or an ascending
+        tuple of them.  An int runs to that budget, raising the
+        :class:`RuntimeError` of a failed run, and leaves the capture to
+        the caller, as a single measurement always has.  A tuple reads
+        the board passively as each boundary goes by
+        (:meth:`~repro.analysis.measurement.Measurement.capture` only
+        settles the gate and copies counts) and returns one entry per
+        budget, labelled ``name`` (default: the profile's): bit for bit
+        the Measurement an independent run at that budget would have
+        captured, or the RuntimeError it would have raised.
+
+        Each boundary fails exactly as its independent run would: the
+        halted check precedes the cycle-limit check, and the limit is
+        ``cycle_limit`` or 400 cycles per instruction of the budget
+        being approached.  A halt fails every remaining budget (it
+        persists); a cycle-limit failure fails only that budget, and
+        the run goes on toward the next one.
+        """
+        if isinstance(budgets, int):
+            error = self._run_to(budgets, budgets * 400
+                                 if cycle_limit is None else cycle_limit)
+            if error is not None:
+                raise RuntimeError(error)
+            return None
+        targets = tuple(budgets)
+        if not targets or targets[0] < 1 \
+                or any(a >= b for a, b in zip(targets, targets[1:])):
+            raise ValueError(f"budgets must be positive and strictly "
+                             f"ascending, got {budgets!r}")
+        label = self.profile.name if name is None else name
+        last = len(targets) - 1
+        results = []
+        for index, budget in enumerate(targets):
+            error = self._run_to(budget, budget * 400
+                                 if cycle_limit is None else cycle_limit)
+            if error is None:
+                results.append(self._capture(label, index < last))
+            elif error == HALTED:
+                results += [RuntimeError(HALTED)
+                            for _ in targets[index:]]
+                break
+            else:
+                results.append(RuntimeError(error))
+        return results
+
+    def _run_to(self, budget: int, cycle_limit: int):
+        """Step until the tracer has seen ``budget``; the error or None."""
         m = self.machine
         tracer = m.tracer
         ebox = m.ebox
         step = m.step
-        if cycle_limit is None:
-            cycle_limit = measured_instructions * 400
-        while tracer.instructions < measured_instructions:
+        while tracer.instructions < budget:
             if m.halted:
-                raise RuntimeError("machine halted during workload run")
+                return HALTED
             if ebox.now > cycle_limit:
-                raise RuntimeError(
-                    f"cycle limit hit: {tracer.instructions} of "
-                    f"{measured_instructions} instructions measured")
+                return (f"cycle limit hit: {tracer.instructions} of "
+                        f"{budget} instructions measured")
             step()
+        return None
+
+    def _capture(self, name: str, midrun: bool) -> Measurement:
+        """Read the board at a tuple run's boundary.
+
+        ``midrun`` says more boundaries follow; the capture ignores it,
+        and the refute self-check plants its mid-run-capture bug on it.
+        """
+        return Measurement.capture(name, self.machine)

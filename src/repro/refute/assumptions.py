@@ -18,8 +18,8 @@ bound — together with the code that *probes* it at a concrete
   cycles equal the model's prediction exactly, and reconcile.
 * ``fastpath-reference-identity`` — the optimised EBOX is bit-identical
   to the per-cycle reference spec on seeded random workloads.
-* ``batch-scalar-identity`` — the lockstep batch engine is
-  bit-identical to independent scalar runs at every capture boundary.
+* ``multicapture-identity`` — one run captured at several budgets is
+  bit-identical to independent runs at every capture boundary.
 
 Violations are plain dicts (JSON-able end to end) so probe tasks can
 cross process boundaries and the campaign report can be committed.
@@ -76,9 +76,10 @@ ASSUMPTIONS = (
                     "per-cycle reference spec",
         bound="architectural state and histograms identical"),
     Assumption(
-        name="batch-scalar-identity", kind="differential",
-        description="the lockstep batch engine is bit-identical to "
-                    "independent scalar runs at every capture boundary",
+        name="multicapture-identity", kind="differential",
+        description="one run captured at several budgets is "
+                    "bit-identical to independent runs at every "
+                    "capture boundary",
         bound="every measurement observable identical"),
 )
 

@@ -68,25 +68,27 @@ def _install_ib_take_extra_cycle():
 
 
 def _install_batch_capture_extra_count():
-    """The batch histogram sink inflates one bucket at capture time.
+    """A mid-run capture inflates one bucket.
 
-    Only the lockstep batch engine reads through the sink, so scalar
-    runs are untouched and the batch↔scalar identity is the one
-    contract that can see it.
+    Every capture before a run's last boundary adds 1 to nonstalled
+    bucket 7.  An independent run has one boundary, so it is
+    untouched, and the multi-capture identity is the one contract that
+    can see it.
     """
-    from repro.batch.histograms import BatchHistogramSink
+    from repro.osim.executive import Executive
 
-    original = BatchHistogramSink.capture
+    original = Executive._capture
 
-    def capture(self, row, board):
-        original(self, row, board)
-        self.nonstalled[row][7] += 1
-        return self.histogram(row)
+    def capture(self, name, midrun):
+        measurement = original(self, name, midrun)
+        if midrun:
+            measurement.histogram.nonstalled[7] += 1
+        return measurement
 
-    BatchHistogramSink.capture = capture
+    Executive._capture = capture
 
     def undo():
-        BatchHistogramSink.capture = original
+        Executive._capture = original
 
     return undo
 
@@ -94,8 +96,8 @@ def _install_batch_capture_extra_count():
 def _install_stall_charge_dropped():
     """Each board silently drops one cycle from its first stall charge.
 
-    Every engine shares :class:`~repro.monitor.histogram.HistogramBoard`,
-    so the batch↔scalar comparison stays clean and the conservation
+    Every run shares :class:`~repro.monitor.histogram.HistogramBoard`,
+    so the multi-capture comparison stays clean and the conservation
     laws — histogram busy+stall must equal measured cycles — are the
     contract that must catch it.
     """
@@ -131,9 +133,9 @@ PERTURBATIONS = {
             install=_install_ib_take_extra_cycle),
         Perturbation(
             name="batch-capture-extra-count",
-            description="batch histogram sink adds 1 to nonstalled "
-                        "bucket 7 at capture (batch engine only)",
-            expect=("batch-scalar-identity",),
+            description="every mid-run capture adds 1 to nonstalled "
+                        "bucket 7 (multi-capture runs only)",
+            expect=("multicapture-identity",),
             install=_install_batch_capture_extra_count),
         Perturbation(
             name="stall-charge-dropped",

@@ -19,7 +19,7 @@ seed) space and tries to *refute* every registered assumption
    results are identical at any ``--jobs``), each probed against the
    conservation laws and the capability invariants.
 3. **Suite phases** — the ubench smoke suite per machine, and the two
-   differential fuzz axes (fast-vs-reference, batch-vs-scalar).
+   differential fuzz axes (fast-vs-reference, multi-capture).
 4. **Shrink** — every measurement violation is bisected to its
    smallest failing budget; differential divergences arrive already
    shrunk by the fuzzer's own shrinkers.
@@ -371,7 +371,7 @@ def run_campaign(spec: CampaignSpec, seed: int = None, jobs: int = 1,
         seed=seed, instructions=spec.fuzz_budget, jobs=jobs,
         plant=plant, progress=progress))
     probes.append(probe_differential(
-        "batch-scalar-identity", "batch", spec.batch_cases, seed=seed,
+        "multicapture-identity", "batch", spec.batch_cases, seed=seed,
         instructions=spec.fuzz_budget, jobs=jobs, plant=plant,
         progress=progress))
 

@@ -90,8 +90,9 @@ def render_sensitivity(report: dict, stats: dict = None) -> str:
     if stats:
         header.append(
             f"  {stats['points']} points, {stats['tasks']} tasks: "
-            f"{stats['simulated']} simulated, {stats['cached']} from "
-            f"the store ({stats['seconds']:.1f}s)")
+            f"{stats['simulated']} simulated in {stats.get('runs', '?')} "
+            f"runs, {stats['cached']} from the store "
+            f"({stats['seconds']:.1f}s)")
     parts = ["\n".join(header)]
     parts.extend(render_axis(table) for table in report["axes"])
     claim = render_decode_claim(report.get("decode_claim"))

@@ -154,19 +154,14 @@ class CharacterizeRequest(ServeRequest):
         return canonical
 
     def fusion_group(self):
-        """Auto-engine jobs differing only in budget share a group.
+        """Jobs differing only in budget share a group.
 
-        The dispatcher runs one group as a single worker task: the
-        budgets become fused lanes of one lockstep batch run (see
-        :func:`repro.serve.workers.prefuse_characterize`).
+        The dispatcher runs one group as a single worker task: each
+        workload runs once and is captured at every budget (see
+        :func:`repro.serve.workers.prefuse_characterize`), on any
+        machine and behind any engine name.
         """
         canonical = self.canonical()
-        if canonical["engine"] != "auto":
-            return None
-        from repro.machines import DEFAULT_MACHINE
-
-        if canonical["machine"] != DEFAULT_MACHINE:
-            return None         # the lockstep batch engine is 780-only
         del canonical["instructions"]
         return f"{self.command}:" + json.dumps(canonical, sort_keys=True)
 

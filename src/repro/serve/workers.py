@@ -8,11 +8,10 @@ sweep runner relies on, and every group comes back wrapped with its
 metrics delta for the deterministic merge.
 
 A *group* is ``(command, [exec_kwargs, ...])``: a singleton for most
-jobs, or several co-queued ``engine="auto"`` characterize jobs that
-differ only in budget.  For those, :func:`prefuse_characterize` runs
-every (workload × budget) as lanes of one lockstep batch
-(:mod:`repro.batch`) — budget-only lanes fuse onto shared machines, so
-K co-queued budgets cost about one run of the largest — and primes the
+jobs, or several co-queued characterize jobs that differ only in
+budget.  For those, :func:`prefuse_characterize` runs each workload
+once and captures it at every budget (:mod:`repro.batch`), so K
+co-queued budgets cost about one run of the largest, and primes the
 engine memo so the ordinary facade call then assembles each job's
 result without simulating anything.  Results are bit-identical to
 direct facade calls either way; fusion only moves wall-clock time.
@@ -70,14 +69,14 @@ def execute(command: str, kwargs: dict) -> dict:
 
 
 def prefuse_characterize(payloads) -> int:
-    """Fuse a group of budget-only characterize jobs into one batch.
+    """Fuse a group of budget-only characterize jobs into shared runs.
 
     ``payloads`` agree on everything but ``instructions`` (the fusion
-    group key guarantees it).  Every (workload, budget, seed) the
-    group needs that is not already memoised becomes one lane;
-    budget-only lanes fuse onto shared machines, and each captured
-    measurement is primed into the engine memo under the key the
-    facade will look up.  Returns the number of lanes run.
+    group key guarantees it).  Every (workload, budget, seed, machine)
+    the group needs that is not already memoised becomes one lane;
+    budget-only lanes share one run, and each captured measurement is
+    primed into the engine memo under the key the facade will look
+    up.  Returns the number of lanes run.
     """
     from repro.batch import LaneSpec, run_lanes
     from repro.workloads import engine as _engines
@@ -88,16 +87,19 @@ def prefuse_characterize(payloads) -> int:
     for kwargs in payloads:
         names = kwargs.get("workloads") or paper_workload_names()
         for name in names:
-            key = (name, kwargs["instructions"], kwargs["seed"])
+            key = (name, kwargs["instructions"], kwargs["seed"],
+                   kwargs["machine"])
             if key not in seen and not _engines.is_cached(*key):
                 seen.add(key)
-                lanes.append(LaneSpec(*key))
+                lanes.append(LaneSpec(name, key[1], key[2],
+                                      machine=key[3]))
     if not lanes:
         return 0
     results = run_lanes(lanes)
     for lane, result in zip(lanes, results):
         _engines.prime_cache(lane.workload, lane.instructions,
-                             lane.seed, result.measurement)
+                             lane.seed, result.measurement,
+                             machine=lane.machine)
     metrics.counter("serve.fused_lanes").inc(len(lanes))
     return len(lanes)
 

@@ -366,13 +366,14 @@ def fuzz(count: int, seed: int, instructions: int = 400,
                       kind="reference", jobs=jobs, plant=plant)
 
 
-# -- scalar <-> batch lockstep ------------------------------------------
+# -- multi-capture <-> independent runs ---------------------------------
 #
-# The second differential axis: the lockstep batch engine
-# (:mod:`repro.batch`) against independent scalar runs of the same
-# case.  Each case runs at several prefix boundaries so the fuzz
-# exercises exactly what makes the batch engine dangerous — mid-run
-# captures on a shared machine — and every observable of the resulting
+# The second differential axis: one run captured at several budgets
+# (:meth:`repro.osim.executive.Executive.run` with a tuple, driven
+# through :func:`repro.batch.run_lanes`) against one independent run
+# per budget.  Each case runs at several prefix boundaries so the fuzz
+# exercises exactly what makes fusion dangerous — mid-run captures on
+# a shared machine — and every observable of the resulting
 # measurements is compared, not just architectural state.
 
 #: Prefix fractions (of the case budget) a batch fuzz case captures at.
@@ -388,7 +389,7 @@ def batch_targets(instructions: int) -> list:
 
 
 def _scalar_lane(case: FuzzCase, target: int):
-    """One scalar-engine run to ``target``: (measurement, error)."""
+    """One independent run to ``target``: (measurement, error)."""
     from repro.workloads.engine import simulate
 
     try:
@@ -433,21 +434,21 @@ def _measurement_field(batch, scalar):
 
 
 def run_case_batch(case: FuzzCase):
-    """Run one case on both engines; returns a Divergence or None.
+    """Run one case fused and independently; a Divergence or None.
 
-    The scalar side runs each target independently (fresh machine per
-    budget, exactly the engine path); the batch side fuses all targets
-    into one cohort.  Lane errors participate in the comparison: both
-    engines must fail the same targets with the same message.
+    The independent side runs each target on a fresh machine (exactly
+    the :func:`~repro.workloads.engine.simulate` path); the fused side
+    captures every target in one run.  Lane errors participate in the
+    comparison: both sides must fail the same targets with the same
+    message.
     """
-    from repro.batch import LaneSpec, BatchRunner
+    from repro.batch import LaneSpec, run_lanes
 
     targets = batch_targets(case.instructions)
     lanes = [LaneSpec(case.profile.name, target, case.seed)
              for target in targets]
-    runner = BatchRunner(lanes,
-                         profiles={case.profile.name: case.profile})
-    batch = runner.run()
+    batch = run_lanes(lanes, profiles={case.profile.name: case.profile},
+                      strict=False)
     for position, (target, lane) in enumerate(zip(targets, batch)):
         measurement, error = _scalar_lane(case, target)
         divergence = None
@@ -465,7 +466,7 @@ def run_case_batch(case: FuzzCase):
 
 
 def shrink_batch(divergence: Divergence) -> Reproducer:
-    """Shrink a batch divergence to the smallest budget that fails.
+    """Shrink a multi-capture divergence to the smallest failing budget.
 
     Re-runs with the budget cut to the divergent capture boundary;
     deterministic engines keep failing, possibly at an even earlier
@@ -486,7 +487,7 @@ def shrink_batch(divergence: Divergence) -> Reproducer:
 
 def fuzz_batch(count: int, seed: int, instructions: int = 400,
                progress=None, jobs: int = 1, plant: str = None) -> list:
-    """Run ``count`` random scalar-vs-batch differential cases.
+    """Run ``count`` random multi-capture differential cases.
 
     Same result shape as :func:`fuzz`: one dict per case with either
     ``None`` or a shrunk :class:`Reproducer`.  The same (seed, count)

@@ -173,9 +173,9 @@ def run_workload(workload, instructions: int = None,
     return _finish(key, measurement, profile.name, instructions)
 
 
-def simulate(profile: MixProfile, instructions: int, seed: int = 1984,
+def simulate(profile: MixProfile, instructions, seed: int = 1984,
              machine: str = DEFAULT_MACHINE, overrides=(),
-             name: str = None, paranoid: bool = False) -> Measurement:
+             name: str = None, paranoid: bool = False):
     """One fresh simulation: build, boot, run, capture.  No memo.
 
     ``profile`` is the canonical profile; ``machine``'s subset
@@ -184,6 +184,12 @@ def simulate(profile: MixProfile, instructions: int, seed: int = 1984,
     refute probes), which is why nothing here reads or writes the
     run memo: its key does not encode them.  ``name`` labels the
     measurement (default: the profile's name).
+
+    ``instructions`` is one budget — the Measurement is returned, a
+    failed run raises — or an ascending tuple of budgets, captured in
+    the same run (:meth:`~repro.osim.executive.Executive.run`): one
+    entry per budget, the Measurement or the RuntimeError an
+    independent run at that budget would have raised.
     """
     machine_spec = get_machine(machine)
     sim = machine_spec.build(
@@ -206,13 +212,15 @@ def simulate(profile: MixProfile, instructions: int, seed: int = 1984,
                 from repro.validate.paranoid import ParanoidMonitor
 
                 with ParanoidMonitor(sim):
-                    executive.run(instructions)
+                    captures = executive.run(instructions, name=label)
             else:
-                executive.run(instructions)
+                captures = executive.run(instructions, name=label)
     finally:
         if sampler is not None:
             sampler.uninstall()
-    return Measurement.capture(label, sim)
+    if captures is None:
+        return Measurement.capture(label, sim)
+    return captures
 
 
 def run_many(workloads=None, instructions: int = DEFAULT_INSTRUCTIONS,
@@ -226,15 +234,12 @@ def run_many(workloads=None, instructions: int = DEFAULT_INSTRUCTIONS,
     machine-refused workloads raise :class:`WorkloadError` for the
     whole set before anything simulates.  With ``jobs > 1`` the
     independent simulations are distributed over worker processes (see
-    :mod:`repro.workloads.parallel`); with ``engine="batch"`` (or
-    ``"auto"``) they run as one in-process lockstep batch instead (see
-    :mod:`repro.batch`).  Both paths are bit-identical to the serial
-    loop, so results memoise under the same per-workload keys.
-    ``paranoid`` forces the serial scalar path (the monitor hooks one
-    live machine in this process); a non-default ``machine`` or a
-    trace-backed workload in the set also forces scalar (lockstep
-    fusion shares one 780 timing model across lanes, and a replay is
-    pinned to its recording).
+    :mod:`repro.workloads.parallel`), bit-identical to the serial loop,
+    so results memoise under the same per-workload keys.  ``paranoid``
+    forces the serial path (the monitor hooks one live machine in this
+    process).  ``engine`` is validated and otherwise an alias: every
+    engine takes the same path, because one budget per workload leaves
+    nothing to fuse.
     """
     from repro.batch import validate_engine
 
@@ -245,27 +250,12 @@ def run_many(workloads=None, instructions: int = DEFAULT_INSTRUCTIONS,
     specs = [get_workload(name) for name in names]
     for spec in specs:
         spec.check_machine(machine)
-    engine = validate_engine(engine)
-    has_trace = any(spec.trace is not None for spec in specs)
-    if paranoid or machine != DEFAULT_MACHINE or has_trace:
-        jobs = 1 if paranoid else jobs
-        engine = "scalar"
-    if engine == "auto":
-        # The batch path needs no spare cores and shares one histogram
-        # sink, so auto prefers it whenever a pool was not requested.
-        engine = "scalar" if jobs > 1 else "batch"
+    validate_engine(engine)
+    if paranoid:
+        jobs = 1
     todo = [spec for spec in specs
             if (spec.name, instructions, seed, machine) not in _CACHE]
-    if engine == "batch" and todo:
-        from repro.workloads.parallel import run_standard_batch
-
-        fresh = run_standard_batch(
-            instructions, seed,
-            profiles=[spec.profile for spec in todo])
-        for spec in todo:
-            _CACHE[(spec.name, instructions, seed, machine)] = \
-                fresh[spec.name]
-    elif jobs > 1 and len(todo) > 1:
+    if jobs > 1 and len(todo) > 1:
         from repro.workloads.parallel import run_standard_parallel
 
         fresh = run_standard_parallel(
@@ -337,15 +327,15 @@ def prime_cache(name: str, instructions: int, seed: int, measurement,
                 machine: str = DEFAULT_MACHINE) -> None:
     """Memoise a measurement produced elsewhere under its run key.
 
-    The lockstep batch engine's lanes are bit-identical to
-    :func:`run_workload`, so a caller that already holds a lane's
-    measurement (the serve dispatcher fusing co-queued budgets) may
-    pre-seed the memo and let the ordinary facade path find it.
+    A capture of a multi-budget :func:`simulate` is bit-identical to
+    :func:`run_workload` at that budget, so a caller that already holds
+    one (the serve dispatcher fusing co-queued budgets) may pre-seed
+    the memo and let the ordinary facade path find it.
     """
     _CACHE[(name, instructions, seed, machine)] = measurement
 
 
 def is_cached(name: str, instructions: int, seed: int,
               machine: str = DEFAULT_MACHINE) -> bool:
-    """Whether a (workload, instructions, seed) run is already memoised."""
+    """Whether a (workload, instructions, seed, machine) run is memoised."""
     return (name, instructions, seed, machine) in _CACHE

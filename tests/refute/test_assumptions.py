@@ -35,7 +35,7 @@ class TestViolationRecord:
         assert item["label"] == POINT.label()
 
     def test_non_numeric_observations_carry_no_delta(self):
-        item = violation("batch-scalar-identity", POINT, "error",
+        item = violation("multicapture-identity", POINT, "error",
                          "boom", None)
         assert item["delta"] is None
 

@@ -32,7 +32,7 @@ class TestCleanCampaign:
         assert probed == {
             "conservation-laws", "capability-invariants",
             "analytical-cpi-bound", "ubench-exactness",
-            "fastpath-reference-identity", "batch-scalar-identity"}
+            "fastpath-reference-identity", "multicapture-identity"}
 
     def test_summary_rolls_up_per_assumption(self, result):
         rows = result.assumptions_summary()

@@ -151,12 +151,15 @@ class TestValidation:
 
 
 class TestFusionGroups:
-    def test_only_auto_engine_requests_group(self):
-        scalar = CharacterizeRequest.from_payload({"smoke": True})
-        assert scalar.fusion_group() is None
-        auto = CharacterizeRequest.from_payload(
-            {"smoke": True, "engine": "auto"})
-        assert auto.fusion_group() is not None
+    def test_every_engine_and_machine_groups(self):
+        groups = [CharacterizeRequest.from_payload(
+            {"smoke": True, "engine": engine, "machine": machine}
+        ).fusion_group()
+            for engine in ("scalar", "batch", "auto")
+            for machine in ("vax780", "uvax78032")]
+        assert None not in groups
+        # Engine and machine stay in the label: only budgets fuse.
+        assert len(set(groups)) == len(groups)
 
     def test_budget_only_difference_shares_a_group(self):
         a = CharacterizeRequest.from_payload(

@@ -1,12 +1,12 @@
-"""Engine-auto fusion: co-queued budget-only jobs share one batch run.
+"""Budget fusion: co-queued budget-only jobs share one run per workload.
 
-``repro serve --engine auto`` injects ``engine="auto"`` into
-engine-less characterize submissions; jobs that then differ only in
-instruction budget land in one fusion group, and the dispatcher runs
-all their (workload x budget) simulations as lanes of a single
-lockstep batch before assembling each job's document through the
-ordinary facade path.  The lockstep engine's bit-identity contract is
-what makes this invisible to clients.
+Characterize jobs that differ only in instruction budget land in one
+fusion group — on any machine, behind any engine name — and the
+dispatcher runs each (workload) once, captured at every budget,
+before assembling each job's document through the ordinary facade
+path.  Multi-capture bit-identity is what makes this invisible to
+clients; the memo keys carry the machine, so one machine's burst never
+answers another machine's job.
 """
 
 import json
@@ -82,7 +82,9 @@ class TestFusionExecution:
             assert json.dumps(direct.to_json(), sort_keys=True) \
                 == json.dumps(job["result"], sort_keys=True)
 
-    def test_scalar_submissions_never_fuse(self, tmp_path):
+    def test_scalar_submissions_fuse_too(self, tmp_path):
+        """The engine name no longer gates fusion: a server without an
+        engine default fuses engine-less (scalar) bursts the same way."""
         config = ServeConfig(store=None, workers=1, queue_size=16)
         before = fused_lanes()
         with ServerThread(config) as handle:
@@ -94,6 +96,50 @@ class TestFusionExecution:
                  "table": "4"},
                 wait=False) for budget in BUDGETS[:2]]
             handle.resume_dispatch()
-            for job in queued:
-                assert client.wait(job["id"])["status"] == "done"
-        assert fused_lanes() == before
+            results = [client.wait(job["id"]) for job in queued]
+        assert all(job["status"] == "done" for job in results)
+        assert all(job["params"]["engine"] == "scalar" for job in results)
+        assert fused_lanes() - before == len(STANDARD_PROFILES) * 2
+
+    def test_uvax_burst_fuses_under_its_own_machine_key(self, tmp_path):
+        from repro.workloads import engine as engine_module
+
+        seed = SEED + 2
+        config = ServeConfig(store=None, workers=1, queue_size=16)
+        before = fused_lanes()
+        with ServerThread(config) as handle:
+            client = handle.client()
+            handle.pause_dispatch()
+            queued = [client.submit(
+                "characterize",
+                {"instructions": budget, "seed": seed, "table": "4",
+                 "machine": "uvax78032"},
+                wait=False) for budget in BUDGETS]
+            handle.resume_dispatch()
+            results = [client.wait(job["id"]) for job in queued]
+        assert all(job["status"] == "done" for job in results)
+        assert fused_lanes() - before \
+            == len(STANDARD_PROFILES) * len(BUDGETS)
+        # The burst primed uvax78032 memo entries, and only those.
+        for profile in STANDARD_PROFILES:
+            for budget in BUDGETS:
+                assert engine_module.is_cached(profile.name, budget, seed,
+                                               machine="uvax78032")
+                assert not engine_module.is_cached(profile.name, budget,
+                                                   seed)
+        uvax = {budget: job["result"]
+                for budget, job in zip(BUDGETS, results)}
+        # A vax780 job at the same budget and seed simulates its own
+        # machine rather than reading the burst's results.
+        vax = api.characterize(instructions=BUDGETS[0], seed=seed,
+                               table="4")
+        assert vax.machine == "vax780"
+        assert vax.cycles != uvax[BUDGETS[0]]["cycles"]
+        # Every served document equals a direct call on uvax78032, from
+        # fresh simulations (memo cleared first).
+        engine_module.clear_cache()
+        for budget in BUDGETS:
+            direct = api.characterize(instructions=budget, seed=seed,
+                                      table="4", machine="uvax78032")
+            assert json.dumps(direct.to_json(), sort_keys=True) \
+                == json.dumps(uvax[budget], sort_keys=True)

@@ -1,15 +1,15 @@
-"""The scalar<->batch differential axis: clean runs agree, planted
+"""The multi-capture differential axis: clean runs agree, planted
 corruption is caught and shrinks to a minimal budget.
 
-The broken-engine test plants its bug in the batch side's histogram
-sink — a single corrupted bucket — and demands the harness name the
-divergent field exactly and shrink the reproducer to the first capture
-boundary that exhibits it.
+The broken-capture test plants its bug in the mid-run captures — a
+single corrupted bucket in every capture before a run's last boundary
+— and demands the harness name the divergent field exactly and shrink
+the reproducer to the smallest case that still captures mid-run.
 """
 
 import pytest
 
-from repro.batch import BatchHistogramSink
+from repro.osim.executive import Executive
 from repro.validate.differential import (FuzzCase, batch_targets,
                                          fuzz_batch, run_case_batch,
                                          shrink_batch)
@@ -47,17 +47,21 @@ class TestCleanEngines:
 
 
 class TestBrokenSink:
+    """The capture path is broken mid-run (where the batch histogram
+    sink used to sit): the last capture of a run stays clean."""
+
     @pytest.fixture
     def corrupted_bucket(self, monkeypatch):
-        """Plant a one-count error in bucket 7 of every captured row."""
-        real_capture = BatchHistogramSink.capture
+        """Plant a one-count error in bucket 7 of every mid-run capture."""
+        real_capture = Executive._capture
 
-        def capture(self, row, board):
-            histogram = real_capture(self, row, board)
-            self.nonstalled[row, 7] += 1
-            return self.histogram(row)
+        def capture(self, name, midrun):
+            measurement = real_capture(self, name, midrun)
+            if midrun:
+                measurement.histogram.nonstalled[7] += 1
+            return measurement
 
-        monkeypatch.setattr(BatchHistogramSink, "capture", capture)
+        monkeypatch.setattr(Executive, "_capture", capture)
 
     def test_divergence_names_the_corrupted_bucket(self,
                                                    corrupted_bucket):
@@ -76,7 +80,9 @@ class TestBrokenSink:
                         instructions=300)
         reproducer = shrink_batch(run_case_batch(case))
         assert reproducer.divergence.instructions == 1
-        assert reproducer.case.instructions == 1
+        # Budget 3 captures at 1 then 3; budget 1 has no mid-run
+        # capture left to corrupt, so 3 is the minimal case.
+        assert reproducer.case.instructions == 3
         assert "histogram.nonstalled[7]" in reproducer.describe()
 
     def test_fuzz_batch_reports_the_reproducer(self, corrupted_bucket):
@@ -89,18 +95,19 @@ class TestBrokenSink:
 
 class TestErrorMismatch:
     def test_one_sided_failure_is_an_error_divergence(self, monkeypatch):
-        """If only the batch side fails a target, the field is 'error'."""
-        from repro.batch import engine as engine_module
+        """If only the fused side fails a target, the field is 'error'."""
+        real_capture = Executive._capture
 
-        def capture(self, state):
-            self._fail_target(state, "injected batch-only failure")
+        def capture(self, name, midrun):
+            if midrun:
+                return RuntimeError("injected multi-capture failure")
+            return real_capture(self, name, midrun)
 
-        monkeypatch.setattr(engine_module.BatchRunner, "_capture",
-                            capture)
+        monkeypatch.setattr(Executive, "_capture", capture)
         case = FuzzCase(TIMESHARING_RESEARCH, seed=1984,
                         instructions=300)
         divergence = run_case_batch(case)
         assert divergence is not None
         assert divergence.field == "error"
-        assert divergence.fast == "injected batch-only failure"
+        assert divergence.fast == "injected multi-capture failure"
         assert divergence.reference is None

@@ -146,6 +146,8 @@ class TestSweepGeneratesDistinctSetsOnce:
         generated_programs.cache_clear()
         result = run_sweep(spec, store=None, jobs=1)
         assert result.stats["simulated"] == 40
+        # Budgets fuse: 20 runs (so 20 constructions) over 10 sets.
+        assert result.stats["runs"] == 20
         info = generated_programs.cache_info()
-        assert (info.misses, info.hits) == (10, 30)
+        assert (info.misses, info.hits) == (10, 10)
 

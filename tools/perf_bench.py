@@ -20,8 +20,8 @@ same protocol on the same host, back to back.
 
 The JSON accumulates one entry per label plus ``speedup`` (the
 composite before/after ratio), ``speedups`` (per-section ratios,
-> 1 = faster) and ``batch`` (the paired scalar-vs-batch sweep timing
-from the lockstep batch engine) computed when present.
+> 1 = faster) and ``batch`` (the paired timing of twelve independent
+runs against one fused multi-capture sweep) computed when present.
 """
 
 import argparse
@@ -230,67 +230,73 @@ def measure_obs(instructions: int, seed: int, repeats: int) -> dict:
 
 
 def measure_batch(repeats: int) -> dict:
-    """Pair a serial scalar sweep against the lockstep batch engine.
+    """Pair independent runs against one fused multi-capture sweep.
 
     The sweep is a 12-point measurement-window convergence study — one
     workload, the ``instructions`` axis from 2,000 to 24,000 — the
-    shape the batch engine exists for: every point is a prefix of the
-    longest run, so the batch engine fuses all twelve lanes onto one
-    machine while the scalar engine pays for each point separately.
-    Both sides run without a store (every point cold) and the records
-    are required to match exactly (same cycles, same histogram
-    digests) before a timing is accepted.
+    shape budget fusion exists for: every point is a prefix of the
+    longest run, so ``run_sweep`` runs one machine and captures it at
+    all twelve budgets, while the independent side pays for twelve
+    fresh ``simulate`` calls.  Both sides start cold (no store, no
+    memo) and the records are required to match exactly (same cycles,
+    same histogram digests) before a timing is accepted.
 
-    Returns an empty dict when the measured tree predates the batch
-    engine (the ``--label before`` baseline).
+    Returns an empty dict when the measured tree predates multi-budget
+    capture (the ``--label before`` baseline).
     """
-    try:
-        from repro.batch import plan_cohorts  # noqa: F401
-    except ImportError:
-        return {}
     from repro.explore import run_sweep
+    from repro.explore.runner import _record
     from repro.explore.space import Axis, SweepSpec
+    from repro.workloads.engine import simulate
+    from repro.workloads.registry import get_workload
 
+    from repro.osim.executive import Executive
+
+    if not hasattr(Executive, "_capture"):
+        return {}
+    workload = "timesharing-research"
+    budgets = tuple(range(2_000, 24_001, 2_000))
     spec = SweepSpec(
-        name="batch-bench",
-        axes=(Axis("instructions", tuple(range(2_000, 24_001, 2_000))),),
+        name="batch-bench", axes=(Axis("instructions", budgets),),
         mode="ofat", instructions=2_000, seed=1984,
-        workloads=("timesharing-research",))
-    scalar_runs, batch_runs = [], []
+        workloads=(workload,))
+    profile = get_workload(workload).profile
+    independent_runs, fused_runs = [], []
     sweep_cycles = None
-    points = None
     for _ in range(repeats):
+        _cold()
         t0 = time.perf_counter()
-        scalar = run_sweep(spec, store=None, jobs=1, engine="scalar")
-        scalar_runs.append(round(time.perf_counter() - t0, 3))
+        independent = [_record(simulate(profile, n, 1984, name=workload),
+                               workload, n, 1984, {})
+                       for n in budgets]
+        independent_runs.append(round(time.perf_counter() - t0, 3))
+        _cold()
         t0 = time.perf_counter()
-        batch = run_sweep(spec, store=None, jobs=1, engine="batch")
-        batch_runs.append(round(time.perf_counter() - t0, 3))
-        for a, b in zip(scalar.points, batch.points):
-            if a["records"] != b["records"]:
+        fused = run_sweep(spec, store=None, jobs=1)
+        fused_runs.append(round(time.perf_counter() - t0, 3))
+        for record, entry in zip(independent, fused.points):
+            if entry["records"][workload] != record:
                 raise SystemExit(
-                    f"scalar/batch records differ at {a['label']} — "
-                    "timings are not comparable")
-        cycles = sum(entry["composite"]["cycles"]
-                     for entry in scalar.points)
+                    f"independent/fused records differ at "
+                    f"{entry['label']} — timings are not comparable")
+        cycles = sum(record["cycles"] for record in independent)
         if sweep_cycles is None:
             sweep_cycles = cycles
-            points = len(scalar.points)
         elif sweep_cycles != cycles:
             raise SystemExit(f"non-deterministic batch-bench cycles: "
                              f"{sweep_cycles} vs {cycles}")
-    best_scalar = min(scalar_runs)
-    best_batch = min(batch_runs)
+    best_independent = min(independent_runs)
+    best_fused = min(fused_runs)
     return {
         "spec": spec.name,
-        "points": points,
-        "instructions_axis": list(spec.axes[0].values),
+        "points": len(budgets),
+        "instructions_axis": list(budgets),
         "sweep_cycles": sweep_cycles,
-        "scalar_seconds": scalar_runs,
-        "best_scalar_seconds": best_scalar,
-        "batch_seconds": batch_runs,
-        "best_batch_seconds": best_batch,
-        "speedup": round(best_scalar / best_batch, 2),
+        "independent_seconds": independent_runs,
+        "best_independent_seconds": best_independent,
+        "fused_seconds": fused_runs,
+        "best_fused_seconds": best_fused,
+        "speedup": round(best_independent / best_fused, 2),
     }
 
 
@@ -540,10 +546,10 @@ def main() -> int:
           f"overhead {ob['overhead_fraction'] * 100:+.2f}%")
     ba = entry["batch"]
     if ba:
-        print(f"[{args.label}] batch engine on a {ba['points']}-point "
-              f"instructions sweep: scalar "
-              f"{ba['best_scalar_seconds']:.2f}s  batch "
-              f"{ba['best_batch_seconds']:.2f}s  "
+        print(f"[{args.label}] budget fusion on a {ba['points']}-point "
+              f"instructions sweep: independent "
+              f"{ba['best_independent_seconds']:.2f}s  fused "
+              f"{ba['best_fused_seconds']:.2f}s  "
               f"speedup {ba['speedup']:.2f}x  "
               f"cycles={ba['sweep_cycles']}")
     sv = entry["serve"]
@@ -576,7 +582,7 @@ def main() -> int:
                     "move it aside or pass a different --output")
         doc[args.label] = entry
         if entry["batch"]:
-            # The paired scalar-vs-batch sweep timing, surfaced at the
+            # The paired independent-vs-fused sweep timing, surfaced at the
             # top level (both sides run on the measured tree, so it
             # needs no before entry to be meaningful).
             doc["batch"] = entry["batch"]
