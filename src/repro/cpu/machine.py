@@ -32,8 +32,8 @@ from repro.ucode.map import MicrocodeMap
 from repro.ucode.registry import EXECUTORS
 from repro.ucode.rows import Row
 from repro.vm.address import PAGE_SHIFT, S0, S0_BASE, is_system_space, make_va
-from repro.vm.pagetable import (PTE_VALID, PageFault, RegionTable,
-                                Translator)
+from repro.vm.pagetable import (PageFault, RegionTable, Translator,
+                                pte_run)
 from repro.vm.tb import TranslationBuffer
 
 # Import for side effects: registers every execute flow.
@@ -166,10 +166,7 @@ class VAX780:
         if npages is None:
             npages = self.params.memory_bytes >> PAGE_SHIFT
         # One bulk image write: byte-identical to npages map_page calls.
-        self.mem.load_image(
-            self.s0_table.base_pa,
-            b"".join((PTE_VALID | page).to_bytes(4, "little")
-                     for page in range(npages)))
+        self.mem.load_image(self.s0_table.base_pa, pte_run(0, npages))
 
     def register_address_space(self, pcb_base: int, space) -> None:
         """Associate a PCB physical base with a process address space."""

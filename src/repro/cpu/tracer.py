@@ -110,13 +110,21 @@ class Tracer:
         pending[inst] = 1 if n is None else n + 1
 
     def _flush(self) -> None:
-        """Replay pending executions into the per-instruction counters."""
+        """Replay pending executions into the per-instruction counters.
+
+        Counts keyed by enums (``OpcodeGroup``, and ``AddressingMode``
+        in the specifier-mode pairs) are first summed under each
+        record's string proxies: an enum hashes through a Python-level
+        ``__hash__``, so each Counter then sees one update per distinct
+        key, in first-seen order — the same values and key order a
+        per-execution replay gives.
+        """
         if not self._pending:
             return
         opcodes = self._opcode_counts
         families = self._family_counts
-        groups = self._group_counts
-        modes = self._specifier_modes
+        group_sums = {}  # group name -> [OpcodeGroup, executions]
+        mode_sums = {}   # position + mode value -> [(position, mode), n]
         for inst, n in self._pending.items():
             rec = inst.trace_rec
             if rec is None:
@@ -125,17 +133,30 @@ class Tracer:
              disp_bytes) = rec
             opcodes[mnemonic] += n
             families[family] += n
-            groups[group] += n
+            gname = group._name_
+            if gname in group_sums:
+                group_sums[gname][1] += n
+            else:
+                group_sums[gname] = [group, n]
             self._instruction_bytes += length * n
             self._specifiers += nspec * n
-            for key in mode_keys:
-                modes[key] += n
+            for proxy, key in mode_keys:
+                if proxy in mode_sums:
+                    mode_sums[proxy][1] += n
+                else:
+                    mode_sums[proxy] = [key, n]
             if n_indexed:
                 self._indexed_specifiers += n_indexed * n
             if disp_bytes:
                 self._branch_displacements += n
                 self._branch_disp_bytes += disp_bytes * n
         self._pending.clear()
+        groups = self._group_counts
+        for group, n in group_sums.values():
+            groups[group] += n
+        modes = self._specifier_modes
+        for key, n in mode_sums.values():
+            modes[key] += n
 
     # Derived counters: reading any of them replays the pending log first.
 
@@ -195,17 +216,27 @@ class Tracer:
 
     @staticmethod
     def _build_record(inst):
-        """Precompute an instruction's tracer contribution (cached)."""
+        """Precompute an instruction's tracer contribution (cached).
+
+        Each specifier-mode key travels with a string proxy that
+        :meth:`_flush` sums under; the loop makes no calls.
+        """
         info = inst.info
-        mode_keys = tuple(
-            ("spec1" if position == 0 else "spec26", spec.mode)
-            for position, spec in enumerate(inst.specifiers))
-        n_indexed = sum(1 for spec in inst.specifiers if spec.indexed)
+        mode_keys = ()
+        nspec = n_indexed = 0
+        position = "spec1"
+        for spec in inst.specifiers:
+            mode = spec.mode
+            mode_keys += ((position + mode._value_, (position, mode)),)
+            nspec += 1
+            if spec.index_register is not None:
+                n_indexed += 1
+            position = "spec26"
         disp_bytes = 0
         if inst.branch_displacement is not None:
             disp_bytes = 1 if info.branch_operand.dtype == "b" else 2
         rec = (info.mnemonic, info.family, info.group, inst.length,
-               len(inst.specifiers), mode_keys, n_indexed, disp_bytes)
+               nspec, mode_keys, n_indexed, disp_bytes)
         inst.trace_rec = rec
         return rec
 

@@ -2,13 +2,13 @@
 
 An :class:`Executive` lays out physical memory (SCB, kernel code and data,
 kernel stacks, PCBs, page tables, user frames), generates the kernel,
-copies in one user program per process, installs devices and scheduler
-hooks, boots through the kernel's own VAX boot sequence, and runs a
-measurement window, read at one or more instruction budgets.  The user
-programs come from :func:`~repro.workloads.codegen.generated_programs`,
-which generates them once per (profile, seed); the machine, memory,
-page tables, kernel, scheduler and devices are built fresh for every
-executive.
+installs devices and scheduler hooks, boots through the kernel's own VAX
+boot sequence, and runs a measurement window, read at one or more
+instruction budgets.  Everything whose layout depends only on the
+profile is built eagerly; each process's user program is generated
+(:func:`~repro.workloads.codegen.generated_program`, memoised per
+process) and copied in the first time LDPCTX switches to it, so a short
+run builds only the programs it dispatches.
 
 Physical layout (all below the S0 page table at the top of memory)::
 
@@ -40,9 +40,10 @@ from repro.osim.kernelgen import (KDATA_VA, PR_BLOCK, PR_NEXTPCB,
                                   initial_kernel_data)
 from repro.osim.process import Process
 from repro.osim.scheduler import Scheduler
-from repro.vm.address import (P1_BASE, PAGE_BYTES, PAGE_SHIFT, S0_BASE)
-from repro.vm.pagetable import AddressSpace, RegionTable
-from repro.workloads.codegen import generated_programs
+from repro.vm.address import P1_BASE, PAGE_SHIFT, S0_BASE
+from repro.vm.pagetable import (AddressSpace, RegionTable,
+                                TranslationNotMapped, pte_run)
+from repro.workloads.codegen import generated_program, program_layout
 from repro.workloads.profiles import MixProfile
 
 _WORD = 0xFFFFFFFF
@@ -76,6 +77,9 @@ class Executive:
         self.seed = seed
         self.processes = []
         self._frame_cursor = FRAMES_PA >> PAGE_SHIFT
+        #: PCB base -> (asid, P0 physical base) of processes whose
+        #: program is not loaded yet.
+        self._unloaded = {}
 
         machine.map_s0_identity()
         self._load_kernel()
@@ -122,72 +126,86 @@ class Executive:
         m.register_address_space(pcb, space)
 
     def _build_processes(self) -> None:
-        # The programs are memoised per (profile, seed) and shared;
-        # everything they are copied into is this executive's own.
-        misses = generated_programs.cache_info().misses
-        programs = generated_programs(self.profile, self.seed)
-        hit = generated_programs.cache_info().misses == misses
-        metrics.counter("osim.codegen_hits" if hit
-                        else "osim.codegen_misses").inc()
-        for asid, program in enumerate(programs, start=1):
-            self._build_process(asid, program)
+        layout = program_layout(self.profile)
+        for asid in range(1, self.profile.processes + 1):
+            self._build_process(asid, layout)
+        # Wrap LDPCTX: the first switch to a process loads its program.
+        self._switch_space = self.machine.ebox.ldpctx_hook
+        self.machine.ebox.ldpctx_hook = self._ldpctx
 
-    def _alloc_frame(self) -> int:
-        frame = self._frame_cursor
-        self._frame_cursor += 1
-        limit = self.machine.s0_table_pa >> PAGE_SHIFT
-        if frame >= limit:
+    def _map_region(self, table: RegionTable) -> int:
+        """Map ``table`` onto fresh frames; the first frame's address.
+
+        Frames are bump-allocated, so a region's are contiguous and one
+        PTE image maps it.
+        """
+        first = self._frame_cursor
+        self._frame_cursor += table.length
+        if self._frame_cursor > self.machine.s0_table_pa >> PAGE_SHIFT:
             raise MemoryError("out of user page frames")
-        return frame
+        self.machine.mem.load_image(table.base_pa,
+                                    pte_run(first, table.length))
+        return first << PAGE_SHIFT
 
-    def _build_process(self, asid: int, program) -> None:
+    def _build_process(self, asid: int, layout) -> None:
         m = self.machine
-        p0_pages = (program.string_base
-                    + self.profile.string_kb * 1024) >> PAGE_SHIFT
-        p0_table = RegionTable(PTBL_PA + (asid - 1 + 1) * PTBL_SLOT,
-                               p0_pages + 1)
+        p0_table = RegionTable(PTBL_PA + asid * PTBL_SLOT, layout.p0_pages)
         p1_table = RegionTable(p0_table.base_pa + P1_TABLE_OFFSET,
                                USER_STACK_PAGES)
         space = AddressSpace(asid=asid, p0=p0_table, p1=p1_table)
-
-        # Map and fill P0 (code + data + strings) and P1 (stack).
-        previous = m.translator.current_space
-        m.translator.set_space(space)
-        for page in range(p0_table.length):
-            m.translator.map_page(page << PAGE_SHIFT, self._alloc_frame())
-        for page in range(p1_table.length):
-            m.translator.map_page(P1_BASE + (page << PAGE_SHIFT),
-                                  self._alloc_frame())
-        self._copy_in(space, program.code_base, program.code)
-        self._copy_in(space, program.data_base, program.data_init)
-        self._copy_in(space, program.string_base, program.string_init)
-        m.translator.set_space(previous)
+        p0_pa = self._map_region(p0_table)
+        self._map_region(p1_table)
 
         pcb = PCB_PA + 0x100 * asid
         kstack_top = S0_BASE + KSTACK_PA + 0x1000 * asid + 0xF00
         usp = P1_BASE + (USER_STACK_PAGES << PAGE_SHIFT) - 64
         self._init_pcb(
             pcb,
-            registers={10: program.string_base, 11: program.data_base,
+            registers={10: layout.string_base, 11: layout.data_base,
                        PCB_AP: usp, PCB_FP: usp},
-            pc=program.entry, psl_mode=USER, usp=usp, ksp=kstack_top)
+            pc=layout.entry, psl_mode=USER, usp=usp, ksp=kstack_top)
         m.register_address_space(pcb, space)
+        self._unloaded[pcb] = (asid, p0_pa)
 
         process = Process(f"{self.profile.name}-p{asid}", asid, space,
-                          pcb, kstack_top, program)
+                          pcb, kstack_top)
         self.processes.append(process)
         self.scheduler.add_process(process)
 
-    def _copy_in(self, space, va: int, data: bytes) -> None:
-        """Copy bytes into a process's mapped pages (untimed)."""
-        m = self.machine
-        offset = 0
-        while offset < len(data):
-            pa = m.translator.translate(va + offset)
-            chunk = min(len(data) - offset,
-                        PAGE_BYTES - ((va + offset) & (PAGE_BYTES - 1)))
-            m.mem.load_image(pa, data[offset:offset + chunk])
-            offset += chunk
+    def _ldpctx(self, pcb_base: int) -> None:
+        """LDPCTX's hook: load the program on the first switch to it."""
+        pending = self._unloaded.pop(pcb_base, None)
+        if pending is not None:
+            self._load_program(*pending)
+            if not self._unloaded:
+                self.machine.ebox.ldpctx_hook = self._switch_space
+        self._switch_space(pcb_base)
+
+    def load_programs(self) -> None:
+        """Load every process's program now (untimed), as LDPCTX would."""
+        for asid, p0_pa in self._unloaded.values():
+            self._load_program(asid, p0_pa)
+        self._unloaded.clear()
+        self.machine.ebox.ldpctx_hook = self._switch_space
+
+    def _load_program(self, asid: int, p0_pa: int) -> None:
+        """Generate (or recall) process ``asid``'s program; copy it in.
+
+        Untimed: the images go straight to physical memory through the
+        region's contiguous frames, touching no cache or counter.
+        """
+        misses = generated_program.cache_info().misses
+        program = generated_program(self.profile, self.seed, asid)
+        hit = generated_program.cache_info().misses == misses
+        metrics.counter("osim.codegen_hits" if hit
+                        else "osim.codegen_misses").inc()
+        p0_end = program_layout(self.profile).p0_pages << PAGE_SHIFT
+        for va, image in ((program.code_base, program.code),
+                          (program.data_base, program.data_init),
+                          (program.string_base, program.string_init)):
+            if va + len(image) > p0_end:
+                raise TranslationNotMapped(p0_end)
+            self.machine.mem.load_image(p0_pa + va, image)
 
     def _init_pcb(self, pcb_pa: int, registers: dict, pc: int,
                   psl_mode: int, usp: int, ksp: int) -> None:

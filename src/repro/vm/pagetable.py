@@ -18,10 +18,26 @@ paper measures (a cache-visible PTE read per TB miss) is preserved.
 
 from __future__ import annotations
 
+import struct
+
 from repro.vm.address import (P0, P1, S0, PAGE_SHIFT, region_of, vpn_of)
 
 PTE_VALID = 0x80000000
 PFN_MASK = (1 << 21) - 1
+
+
+def pte_run(first_pfn: int, count: int) -> bytes:
+    """The image of ``count`` valid PTEs mapping consecutive frames.
+
+    Byte-identical to ``count`` :meth:`Translator.map_page` calls
+    mapping consecutive pages onto frames ``first_pfn`` onward.
+    """
+    if first_pfn + count > PFN_MASK + 1:
+        raise ValueError(f"frames {first_pfn:#x}+{count} exceed the "
+                         f"PFN field")
+    return struct.pack(f"<{count}I", *range(PTE_VALID | first_pfn,
+                                             (PTE_VALID | first_pfn)
+                                             + count))
 
 
 class PageFault(Exception):

@@ -6,8 +6,7 @@ every workload — the paper's five, the synthetic zoo
 (:mod:`repro.workloads.trace`) — resolves by name through it.
 """
 
-from repro.workloads.codegen import (GeneratedProgram, ProgramGenerator,
-                                     generated_programs)
+from repro.workloads.codegen import GeneratedProgram, ProgramGenerator
 from repro.workloads.rte import ScriptedTerminalMux, ScriptedUser
 from repro.workloads.profiles import (COMMERCIAL, EDUCATIONAL, MixProfile,
                                       SCIENTIFIC, STANDARD_PROFILES,
@@ -24,8 +23,7 @@ from repro.workloads.zoo import ZOO_PROFILES
 from repro.workloads.trace import (TraceError, TraceHandle, load_trace,
                                    record_trace, register_trace, replay)
 
-__all__ = ["GeneratedProgram", "ProgramGenerator", "generated_programs",
-           "COMMERCIAL",
+__all__ = ["GeneratedProgram", "ProgramGenerator", "COMMERCIAL",
            "EDUCATIONAL", "MixProfile", "SCIENTIFIC", "STANDARD_PROFILES",
            "TIMESHARING_CPU_DEV", "TIMESHARING_RESEARCH",
            "ScriptedTerminalMux", "ScriptedUser",

@@ -33,6 +33,7 @@ from functools import lru_cache
 from repro.arch import encode as enc
 from repro.arch.specifiers import AddressingMode
 from repro.asm.program import ProgramBuilder
+from repro.vm.address import PAGE_SHIFT
 from repro.workloads.profiles import MixProfile
 
 _WORD = 0xFFFFFFFF
@@ -56,22 +57,51 @@ SUBROUTINE_SLOT = 0x700
 #: entry mask saving r6-r9 (the registers every generated body uses).
 ENTRY_MASK = 0x03C0
 
-#: Distinct (profile, seed) program sets :func:`generated_programs`
-#: keeps.  The repository's widest sweep keeps every supported pair of
-#: the 13 registered workloads x 2 machines in use at once (25 sets,
-#: revisited points-outer / workloads-inner by explore); a smaller
-#: bound would thrash.  One set is <= 1.05 MiB for the paper's five and
-#: 2.2 MiB at worst (tb-thrash).  Bounded, because a long-lived
-#: ``repro serve`` may see a new seed with every request.
-CODEGEN_CACHE_SETS = 32
+#: Fixed bases of the three P0 regions, the same in every program.
+CODE_BASE = 0x1000
+DATA_BASE = 0x20000
+STRING_BASE = 0x30000
+
+#: Generated programs :func:`generated_program` keeps.  The widest
+#: traffic in the repository is every supported pair of the 13
+#: registered workloads x 2 machines (25 pairs) at a budget where every
+#: process dispatches: 192 programs, revisited points-outer /
+#: workloads-inner by explore, so a smaller bound would thrash.  One
+#: program is <= 134 KiB for the paper's five and 189 KiB at worst
+#: (tb-thrash).  Bounded, because a long-lived ``repro serve`` may see
+#: a new seed with every request.
+CODEGEN_CACHE_PROGRAMS = 256
+
+
+@dataclass(frozen=True)
+class ProgramLayout:
+    """Where a profile's programs sit in P0: a pure function of it."""
+
+    code_base: int
+    data_base: int
+    string_base: int
+    entry: int        #: VA of ``main``, after the subroutine slots
+    n_subs: int       #: subroutine slots before ``main``
+    p0_pages: int     #: P0 page-table length
+
+
+def program_layout(profile: MixProfile) -> ProgramLayout:
+    """The layout every program generated from ``profile`` uses."""
+    n_subs = max(2, profile.code_kb * 1024 // SUBROUTINE_SLOT - 1)
+    string_end = STRING_BASE + profile.string_kb * 1024
+    return ProgramLayout(
+        code_base=CODE_BASE, data_base=DATA_BASE, string_base=STRING_BASE,
+        entry=CODE_BASE + n_subs * SUBROUTINE_SLOT, n_subs=n_subs,
+        p0_pages=(string_end >> PAGE_SHIFT) + 1)
 
 
 @dataclass(frozen=True)
 class GeneratedProgram:
     """A complete generated user program plus its initial data images.
 
-    Frozen: :func:`generated_programs` shares one instance between
-    every executive built from the same (profile, seed).
+    Frozen: :func:`generated_program` shares one instance between
+    every executive built from the same (profile, seed) that
+    dispatches the process.
     """
 
     code: bytes           #: machine code, loaded at ``code_base``
@@ -84,32 +114,30 @@ class GeneratedProgram:
     subroutine_entries: tuple
 
 
-@lru_cache(maxsize=CODEGEN_CACHE_SETS)
-def generated_programs(profile: MixProfile, seed: int) -> tuple:
-    """One generated program per process of ``profile``, memoised.
+@lru_cache(maxsize=CODEGEN_CACHE_PROGRAMS)
+def generated_program(profile: MixProfile, seed: int,
+                      asid: int) -> GeneratedProgram:
+    """Process ``asid``'s (1-based) generated program, memoised.
 
-    Process ``asid`` (1-based) is generated with seed
-    ``seed * 1000 + asid``.  Generation is a pure function of the
-    profile (as adapted to the machine) and the seed — machine params
-    never reach it — so every executive built from the same pair, at
-    any budget or params point, shares one tuple of frozen programs.
+    It is generated with seed ``seed * 1000 + asid``.  Generation is a
+    pure function of the profile (as adapted to the machine), the seed
+    and the asid — machine params never reach it — so every executive
+    built from the same pair, at any budget or params point, shares
+    one frozen program per process it dispatches.
     """
-    return tuple(ProgramGenerator(profile, seed=seed * 1000 + asid)
-                 .generate()
-                 for asid in range(1, profile.processes + 1))
+    return ProgramGenerator(profile, seed=seed * 1000 + asid).generate()
 
 
 class ProgramGenerator:
     """Emits one process's program from a mix profile."""
 
-    def __init__(self, profile: MixProfile, seed: int,
-                 code_base: int = 0x1000, data_base: int = 0x20000,
-                 string_base: int = 0x30000) -> None:
+    def __init__(self, profile: MixProfile, seed: int) -> None:
         self.profile = profile
         self.rng = random.Random(seed)
-        self.code_base = code_base
-        self.data_base = data_base
-        self.string_base = string_base
+        self.layout = program_layout(profile)
+        self.code_base = self.layout.code_base
+        self.data_base = self.layout.data_base
+        self.string_base = self.layout.string_base
         self.data_bytes = profile.data_kb * 1024
         self.string_bytes = profile.string_kb * 1024
         self._ptr_table = self.data_bytes - POINTER_TABLE_BYTES
@@ -124,19 +152,18 @@ class ProgramGenerator:
 
     def generate(self) -> GeneratedProgram:
         """Generate the program and its initial data images."""
-        n_subs = max(2, self.profile.code_kb * 1024 // SUBROUTINE_SLOT - 1)
+        layout = self.layout
         entries = []
         chunks = []
-        for index in range(n_subs):
+        for index in range(layout.n_subs):
             slot_base = self.code_base + index * SUBROUTINE_SLOT
             chunk, entry = self._generate_subroutine(slot_base, entries)
             chunks.append(chunk)
             entries.append(entry)
-        main_base = self.code_base + n_subs * SUBROUTINE_SLOT
-        chunks.append(self._generate_main(main_base, entries))
+        chunks.append(self._generate_main(layout.entry, entries))
         code = b"".join(chunks)
         return GeneratedProgram(
-            code=code, entry=main_base, code_base=self.code_base,
+            code=code, entry=layout.entry, code_base=self.code_base,
             data_base=self.data_base, data_init=self._build_data_init(),
             string_base=self.string_base,
             string_init=self._build_string_init(),

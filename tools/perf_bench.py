@@ -45,9 +45,12 @@ def _cold() -> None:
     from repro.workloads import codegen, engine
 
     engine.clear_cache()
-    programs = getattr(codegen, "generated_programs", None)
-    if programs is not None:
-        programs.cache_clear()
+    # The per-process memo, or the per-(profile, seed) one of older
+    # trees (REPRO_SRC); trees before either have neither.
+    for name in ("generated_program", "generated_programs"):
+        memo = getattr(codegen, name, None)
+        if memo is not None:
+            memo.cache_clear()
 
 
 def measure(instructions: int, seed: int, jobs: int, repeats: int) -> dict:
